@@ -4,9 +4,9 @@
 // punctuator set, all literal forms used by the paper's target programs
 // (decimal/octal/hex integers with suffixes, floats, char and string
 // literals with escapes), keywords, identifiers and residual preprocessor
-// line markers. Comments are tokenized (not discarded) so that the rewrite
-// engine can reproduce source text faithfully, but the parser-facing stream
-// filters them out.
+// line markers. Tokenize keeps comments and directives so that the rewrite
+// engine can reproduce source text faithfully; the parser-facing
+// TokenizeForParser never emits them.
 package clex
 
 import (
@@ -30,6 +30,8 @@ type Lexer struct {
 	off    int
 	errs   []*Error
 	tokens []ctoken.Token
+	// parser drops comments and directives instead of emitting them.
+	parser bool
 }
 
 // New returns a lexer over src.
@@ -51,22 +53,18 @@ func Tokenize(src string) ([]ctoken.Token, error) {
 }
 
 // TokenizeForParser scans the input and returns only the tokens the parser
-// consumes: comments, directives and whitespace are filtered out.
+// consumes: comments, directives and whitespace are never emitted. The
+// result equals Tokenize's stream with those tokens filtered out; on a
+// lexical error it is nil, with Tokenize's (first) error.
 func TokenizeForParser(src string) ([]ctoken.Token, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
-		return nil, err
+	// Preprocessed C spends 3.5 to 5 bytes per parser token, so one
+	// token per three bytes holds the stream without growing it.
+	l := &Lexer{src: src, parser: true, tokens: make([]ctoken.Token, 0, len(src)/3+1)}
+	l.run()
+	if len(l.errs) > 0 {
+		return nil, l.errs[0]
 	}
-	out := make([]ctoken.Token, 0, len(toks))
-	for _, t := range toks {
-		switch t.Kind {
-		case ctoken.KindComment, ctoken.KindDirective, ctoken.KindWhitespace:
-			continue
-		default:
-			out = append(out, t)
-		}
-	}
-	return out, nil
+	return l.tokens, nil
 }
 
 func (l *Lexer) errorf(pos int, format string, args ...any) {
@@ -82,6 +80,13 @@ func (l *Lexer) emit(kind ctoken.Kind, start int) {
 			End: ctoken.Pos(l.off),
 		},
 	})
+}
+
+// emitTrivia emits a comment or directive token, except in parser mode.
+func (l *Lexer) emitTrivia(kind ctoken.Kind, start int) {
+	if !l.parser {
+		l.emit(kind, start)
+	}
 }
 
 func (l *Lexer) peek() byte {
@@ -150,7 +155,7 @@ func (l *Lexer) scanDirective() {
 		}
 		l.off++
 	}
-	l.emit(ctoken.KindDirective, start)
+	l.emitTrivia(ctoken.KindDirective, start)
 }
 
 func (l *Lexer) scanLineComment() {
@@ -158,7 +163,7 @@ func (l *Lexer) scanLineComment() {
 	for l.off < len(l.src) && l.src[l.off] != '\n' {
 		l.off++
 	}
-	l.emit(ctoken.KindComment, start)
+	l.emitTrivia(ctoken.KindComment, start)
 }
 
 func (l *Lexer) scanBlockComment() {
@@ -167,13 +172,13 @@ func (l *Lexer) scanBlockComment() {
 	for l.off < len(l.src) {
 		if l.src[l.off] == '*' && l.peekAt(1) == '/' {
 			l.off += 2
-			l.emit(ctoken.KindComment, start)
+			l.emitTrivia(ctoken.KindComment, start)
 			return
 		}
 		l.off++
 	}
 	l.errorf(start, "unterminated block comment")
-	l.emit(ctoken.KindComment, start)
+	l.emitTrivia(ctoken.KindComment, start)
 }
 
 func isIdentStart(c byte) bool {
@@ -308,45 +313,59 @@ func (l *Lexer) scanStringLit() {
 	l.emit(ctoken.KindStringLit, start)
 }
 
-// Multi-byte punctuators, longest first within each leading byte. The
-// scanner tries three, then two, then one byte.
-var _punct3 = map[string]struct{}{
-	"<<=": {}, ">>=": {}, "...": {},
-}
-
-var _punct2 = map[string]struct{}{
-	"->": {}, "++": {}, "--": {}, "<<": {}, ">>": {}, "<=": {}, ">=": {},
-	"==": {}, "!=": {}, "&&": {}, "||": {}, "+=": {}, "-=": {}, "*=": {},
-	"/=": {}, "%=": {}, "&=": {}, "^=": {}, "|=": {},
-}
-
-var _punct1 = map[byte]struct{}{
-	'[': {}, ']': {}, '(': {}, ')': {}, '{': {}, '}': {}, '.': {}, '&': {},
-	'*': {}, '+': {}, '-': {}, '~': {}, '!': {}, '/': {}, '%': {}, '<': {},
-	'>': {}, '^': {}, '|': {}, '?': {}, ':': {}, ';': {}, '=': {}, ',': {},
-}
-
 func (l *Lexer) scanPunct() {
-	start := l.off
-	if l.off+3 <= len(l.src) {
-		if _, ok := _punct3[l.src[l.off:l.off+3]]; ok {
-			l.off += 3
-			l.emit(ctoken.KindPunct, start)
-			return
-		}
-	}
-	if l.off+2 <= len(l.src) {
-		if _, ok := _punct2[l.src[l.off:l.off+2]]; ok {
-			l.off += 2
-			l.emit(ctoken.KindPunct, start)
-			return
-		}
-	}
-	if _, ok := _punct1[l.src[l.off]]; ok {
+	n := punctLen(l.src[l.off:])
+	if n == 0 {
+		l.errorf(l.off, "unexpected byte %q", l.src[l.off])
 		l.off++
-		l.emit(ctoken.KindPunct, start)
 		return
 	}
-	l.errorf(l.off, "unexpected byte %q", l.src[l.off])
-	l.off++
+	start := l.off
+	l.off += n
+	l.emit(ctoken.KindPunct, start)
+}
+
+// punctLen returns the length of the longest C punctuator at the start
+// of s (three, two or one byte), or 0 when s does not start with one.
+func punctLen(s string) int {
+	var next, third byte
+	if len(s) > 1 {
+		next = s[1]
+	}
+	if len(s) > 2 {
+		third = s[2]
+	}
+	switch c := s[0]; c {
+	case '[', ']', '(', ')', '{', '}', '~', '?', ':', ';', ',':
+		return 1
+	case '.':
+		if next == '.' && third == '.' {
+			return 3 // ...
+		}
+		return 1
+	case '<', '>':
+		switch {
+		case next == c && third == '=':
+			return 3 // <<= >>=
+		case next == c || next == '=':
+			return 2 // << >> <= >=
+		}
+		return 1
+	case '-':
+		if next == '>' || next == '-' || next == '=' {
+			return 2 // -> -- -=
+		}
+		return 1
+	case '+', '&', '|':
+		if next == c || next == '=' {
+			return 2 // ++ && || += &= |=
+		}
+		return 1
+	case '*', '/', '%', '^', '!', '=':
+		if next == '=' {
+			return 2 // *= /= %= ^= != ==
+		}
+		return 1
+	}
+	return 0
 }

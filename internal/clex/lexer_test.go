@@ -187,3 +187,44 @@ func TestFilePositions(t *testing.T) {
 		}
 	}
 }
+
+// TestPunctLenMatchesPunctuatorSets pins scanPunct's lead-byte switch to
+// the C punctuator sets, longest match first: every string of up to
+// three bytes over the punctuator alphabet (plus bytes that start none)
+// must measure the same as a lookup in the sets.
+func TestPunctLenMatchesPunctuatorSets(t *testing.T) {
+	sets := [3]map[string]bool{{}, {}, {}}
+	for _, p := range []string{
+		"[", "]", "(", ")", "{", "}", ".", "&", "*", "+", "-", "~", "!", "/",
+		"%", "<", ">", "^", "|", "?", ":", ";", "=", ",",
+		"->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
+		"+=", "-=", "*=", "/=", "%=", "&=", "^=", "|=",
+		"<<=", ">>=", "...",
+	} {
+		sets[len(p)-1][p] = true
+	}
+	want := func(s string) int {
+		for n := 3; n >= 1; n-- {
+			if len(s) >= n && sets[n-1][s[:n]] {
+				return n
+			}
+		}
+		return 0
+	}
+	alphabet := "[](){}.&*+-~!/%<>^|?:;=,#@$a0 \x00"
+	var check func(prefix string)
+	check = func(prefix string) {
+		if prefix != "" {
+			if got := punctLen(prefix); got != want(prefix) {
+				t.Fatalf("punctLen(%q) = %d, want %d", prefix, got, want(prefix))
+			}
+		}
+		if len(prefix) == 3 {
+			return
+		}
+		for i := 0; i < len(alphabet); i++ {
+			check(prefix + alphabet[i:i+1])
+		}
+	}
+	check("")
+}

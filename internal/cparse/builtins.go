@@ -1,9 +1,30 @@
 package cparse
 
 import (
+	"sync"
+
 	"repro/internal/cast"
 	"repro/internal/ctype"
 )
+
+// builtinSet is the outermost scope every unit starts from, with its
+// symbols in declaration order (IDs 0..len-1).
+type builtinSet struct {
+	scope *scope
+	syms  []*cast.Symbol
+}
+
+// builtins declares the builtin scope once per process. Units share the
+// scope and its symbols read-only: declare only ever writes to the
+// innermost scope, and a unit's file scope sits above this one, so a
+// redeclaration in a program makes a new symbol instead of rewriting a
+// builtin.
+var builtins = sync.OnceValue(func() builtinSet {
+	p := &Parser{unit: &cast.TranslationUnit{}}
+	p.pushScope()
+	declareBuiltins(p)
+	return builtinSet{scope: p.scopes[0], syms: p.unit.Symbols}
+})
 
 // declareBuiltins pre-declares the C library functions and objects that the
 // paper's corpora use, so that identifier uses bind to typed symbols without

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/clex"
+	"repro/internal/clex/clextest"
 	"repro/internal/ctoken"
 )
 
@@ -42,16 +43,23 @@ func FuzzParse(f *testing.F) {
 }
 
 // FuzzLexer asserts that tokenization always terminates, never panics,
-// and produces tokens whose extents tile within the source.
+// produces tokens whose extents tile within the source, and that the
+// parser-facing stream is the full stream minus comments and
+// directives, error included.
 func FuzzLexer(f *testing.F) {
 	f.Add("int main(void) { return 0; }")
 	f.Add("\"unterminated")
 	f.Add("/* unterminated")
 	f.Add("'\\")
 	f.Add("0x 1e+ 3..7 L'x' L\"y\"")
+	f.Add("<<= >>= ... -> a|=b")
+	f.Add("# define X\n/* c */ x")
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 8192 {
 			t.Skip()
+		}
+		if d := clextest.ParserStreamDiff(src); d != "" {
+			t.Fatal(d)
 		}
 		toks, _ := clex.Tokenize(src)
 		var prev ctoken.Pos

@@ -65,10 +65,11 @@ func Parse(name, src string) (*cast.TranslationUnit, error) {
 		file: ctoken.NewFile(name, src),
 		toks: toks,
 	}
-	p.unit = &cast.TranslationUnit{File: p.file}
+	b := builtins()
+	p.unit = &cast.TranslationUnit{File: p.file, Symbols: append([]*cast.Symbol(nil), b.syms...)}
 	p.unit.SetExtent(ctoken.Extent{Pos: 0, End: ctoken.Pos(len(src))})
-	p.pushScope()
-	declareBuiltins(p)
+	p.nextID = len(b.syms)
+	p.scopes = append(p.scopes, b.scope)
 	p.pushScope() // file scope (keeps builtins separate)
 
 	parseErr := p.recoverable(func() {

@@ -22,270 +22,273 @@ func run(t *testing.T, source string, headers map[string]string, opts Options) *
 	return res
 }
 
+// tortureCases are the classic hard cases for the preprocessor:
+// rescanning, stringize/paste, self-reference blocking, conditional
+// nesting, and include cycles.
+var tortureCases = []struct {
+	name    string
+	src     string
+	headers map[string]string
+	want    string // exact expected output
+	errs    int    // expected diagnostic count (-1: any)
+}{
+	{
+		name: "identity/no directives",
+		src:  "int main(void) {\n  char buf[10];\n  return 0;\n}\n",
+		want: "int main(void) {\n  char buf[10];\n  return 0;\n}\n",
+	},
+	{
+		name: "object macro",
+		src:  "#define N 10\nchar buf[N];\n",
+		want: "char buf[10];\n",
+	},
+	{
+		name: "object macro rescanned",
+		src:  "#define A B\n#define B C\n#define C 42\nint x = A;\n",
+		want: "int x = 42;\n",
+	},
+	{
+		name: "function macro",
+		src:  "#define SQ(x) ((x)*(x))\nint y = SQ(3);\n",
+		want: "int y = ((3)*(3));\n",
+	},
+	{
+		name: "function macro args expand",
+		src:  "#define N 8\n#define SQ(x) ((x)*(x))\nint y = SQ(N);\n",
+		want: "int y = ((8)*(8));\n",
+	},
+	{
+		name: "rescanning of expansion result",
+		src:  "#define PLUS(a,b) ADD(a,b)\n#define ADD(a,b) ((a)+(b))\nint z = PLUS(1,2);\n",
+		want: "int z = ((1)+(2));\n",
+	},
+	{
+		name: "function macro without parens is not invoked",
+		src:  "#define F(x) x\nint (*F)(int);\n",
+		want: "int (*F)(int);\n",
+	},
+	{
+		name: "invocation across newline",
+		src:  "#define SQ(x) ((x)*(x))\nint y = SQ\n(4);\n",
+		want: "int y = ((4)*(4));\n",
+	},
+	{
+		name: "stringize",
+		src:  "#define STR(x) #x\nconst char *s = STR(hello world);\n",
+		want: "const char *s = \"hello world\";\n",
+	},
+	{
+		name: "stringize preserves string escapes",
+		src:  "#define STR(x) #x\nconst char *s = STR(\"a\\n\");\n",
+		want: "const char *s = \"\\\"a\\\\n\\\"\";\n",
+	},
+	{
+		name: "paste",
+		src:  "#define GLUE(a,b) a##b\nint GLUE(foo,bar) = 1;\n",
+		want: "int foobar = 1;\n",
+	},
+	{
+		name: "paste then rescan",
+		src:  "#define XY 99\n#define GLUE(a,b) a##b\nint v = GLUE(X,Y);\n",
+		want: "int v = 99;\n",
+	},
+	{
+		name: "paste numbers",
+		src:  "#define CAT(a,b) a##b\nint n = CAT(1,2);\n",
+		want: "int n = 12;\n",
+	},
+	{
+		name: "stringize of macro arg is not pre-expanded",
+		src:  "#define N 10\n#define STR(x) #x\nconst char *s = STR(N);\n",
+		want: "const char *s = \"N\";\n",
+	},
+	{
+		name: "recursive self-reference blocked",
+		src:  "#define FOO FOO\nint FOO = 1;\n",
+		want: "int FOO = 1;\n",
+	},
+	{
+		name: "mutual recursion blocked",
+		src:  "#define A B\n#define B A\nint A;\n",
+		want: "int A;\n",
+	},
+	{
+		name: "function-like self-reference blocked",
+		src:  "#define F(x) F(x + 1)\nint y = F(0);\n",
+		want: "int y = F(0 + 1);\n",
+	},
+	{
+		name: "conditional taken",
+		src:  "#define ON 1\n#if ON\nint a;\n#else\nint b;\n#endif\n",
+		want: "int a;\n",
+	},
+	{
+		name: "conditional not taken",
+		src:  "#if 0\nint a;\n#else\nint b;\n#endif\n",
+		want: "int b;\n",
+	},
+	{
+		name: "elif chain",
+		src:  "#define V 2\n#if V == 1\nint a;\n#elif V == 2\nint b;\n#elif V == 3\nint c;\n#else\nint d;\n#endif\n",
+		want: "int b;\n",
+	},
+	{
+		name: "nested conditionals",
+		src:  "#define A 1\n#define B 0\n#if A\n#if B\nint ab;\n#else\nint anb;\n#endif\n#else\n#if B\nint nab;\n#endif\nint nb;\n#endif\n",
+		want: "int anb;\n",
+	},
+	{
+		name: "inactive branch directives do not define",
+		src:  "#if 0\n#define X 5\n#endif\n#ifdef X\nint bad;\n#else\nint good;\n#endif\n",
+		want: "int good;\n",
+	},
+	{
+		name: "ifdef and undef",
+		src:  "#define X\n#ifdef X\nint a;\n#endif\n#undef X\n#ifdef X\nint b;\n#endif\n",
+		want: "int a;\n",
+	},
+	{
+		name: "ifndef",
+		src:  "#ifndef X\nint a;\n#endif\n",
+		want: "int a;\n",
+	},
+	{
+		name: "defined operator both spellings",
+		src:  "#define X\n#if defined X && defined(X)\nint a;\n#endif\n",
+		want: "int a;\n",
+	},
+	{
+		name: "if arithmetic",
+		src:  "#if (1 + 2*3 == 7) && (10 % 3 == 1) && (1 << 4) == 16 && -1 < 0\nint a;\n#endif\n",
+		want: "int a;\n",
+	},
+	{
+		name: "if ternary and unknown identifiers are zero",
+		src:  "#if UNKNOWN ? 0 : 1\nint a;\n#endif\n",
+		want: "int a;\n",
+	},
+	{
+		name: "if char constant",
+		src:  "#if 'A' == 65\nint a;\n#endif\n",
+		want: "int a;\n",
+	},
+	{
+		name: "line continuation in define",
+		src:  "#define LONG \\\n  42\nint x = LONG;\n",
+		want: "int x = 42;\n",
+	},
+	{
+		name: "line continuation in code",
+		src:  "int foo\\\nbar = 1;\n",
+		want: "int foobar = 1;\n",
+	},
+	{
+		name: "line continuation between tokens",
+		src:  "int a \\\n= 1;\n",
+		want: "int a = 1;\n",
+	},
+	{
+		name: "include searched in dir",
+		src:  "#include \"h.h\"\nint y = M;\n",
+		headers: map[string]string{
+			"h.h": "#define M 5\n",
+		},
+		want: "int y = 5;\n",
+	},
+	{
+		name: "include emits header text",
+		src:  "#include \"decl.h\"\nint main(void) { return f(); }\n",
+		headers: map[string]string{
+			"decl.h": "int f(void);\n",
+		},
+		want: "int f(void);\nint main(void) { return f(); }\n",
+	},
+	{
+		name: "include cycle broken by guard",
+		src:  "#include \"a.h\"\nint m;\n",
+		headers: map[string]string{
+			"a.h": "#ifndef A_H\n#define A_H\n#include \"b.h\"\nint a;\n#endif\n",
+			"b.h": "#ifndef B_H\n#define B_H\n#include \"a.h\"\nint b;\n#endif\n",
+		},
+		want: "int b;\nint a;\nint m;\n",
+	},
+	{
+		name: "include cycle broken by pragma once",
+		src:  "#include \"a.h\"\nint m;\n",
+		headers: map[string]string{
+			"a.h": "#pragma once\n#include \"b.h\"\nint a;\n",
+			"b.h": "#pragma once\n#include \"a.h\"\nint b;\n",
+		},
+		want: "int b;\nint a;\nint m;\n",
+	},
+	{
+		name: "double include with guard collapses",
+		src:  "#include \"g.h\"\n#include \"g.h\"\nint m;\n",
+		headers: map[string]string{
+			"g.h": "#ifndef G_H\n#define G_H\nint g;\n#endif\n",
+		},
+		want: "int g;\nint m;\n",
+	},
+	{
+		name: "unguarded include cycle hits depth limit",
+		src:  "#include \"loop.h\"\n",
+		headers: map[string]string{
+			"loop.h": "#include \"loop.h\"\nint l;\n",
+		},
+		errs: -1,
+	},
+	{
+		name: "missing include passes through",
+		src:  "#include <stdio.h>\nint main(void) { return 0; }\n",
+		want: "#include <stdio.h>\nint main(void) { return 0; }\n",
+	},
+	{
+		name: "variadic macro",
+		src:  "#define CALL(f, ...) f(__VA_ARGS__)\nint x = CALL(add, 1, 2);\n",
+		want: "int x = add(1, 2);\n",
+	},
+	{
+		name: "empty macro leaves no token merge",
+		src:  "#define E\nint a = 1 E + 2;\n",
+		want: "int a = 1  + 2;\n",
+	},
+	{
+		name: "error directive reports",
+		src:  "#if 1\n#error boom\n#endif\nint a;\n",
+		want: "int a;\n",
+		errs: 1,
+	},
+	{
+		name: "error in dead branch is silent",
+		src:  "#if 0\n#error boom\n#endif\nint a;\n",
+		want: "int a;\n",
+	},
+	{
+		name: "comments pass through",
+		src:  "/* keep */\nint a; // tail\n",
+		want: "/* keep */\nint a; // tail\n",
+	},
+	{
+		name: "macro inside comment not expanded",
+		src:  "#define N 10\n/* N stays */\nint a = N; // N too\n",
+		want: "/* N stays */\nint a = 10; // N too\n",
+	},
+	{
+		name: "macro inside string not expanded",
+		src:  "#define N 10\nconst char *s = \"N\";\n",
+		want: "const char *s = \"N\";\n",
+	},
+	{
+		name: "predefine via options",
+		src:  "int v = WIDTH;\n",
+		want: "int v = 640;\n",
+	},
+}
+
 // TestTorture pins the preprocessor against expected output for the
-// classic hard cases: rescanning, stringize/paste, self-reference
-// blocking, conditional nesting, and include cycles.
+// torture cases.
 func TestTorture(t *testing.T) {
-	cases := []struct {
-		name    string
-		src     string
-		headers map[string]string
-		want    string // exact expected output
-		errs    int    // expected diagnostic count (-1: any)
-	}{
-		{
-			name: "identity/no directives",
-			src:  "int main(void) {\n  char buf[10];\n  return 0;\n}\n",
-			want: "int main(void) {\n  char buf[10];\n  return 0;\n}\n",
-		},
-		{
-			name: "object macro",
-			src:  "#define N 10\nchar buf[N];\n",
-			want: "char buf[10];\n",
-		},
-		{
-			name: "object macro rescanned",
-			src:  "#define A B\n#define B C\n#define C 42\nint x = A;\n",
-			want: "int x = 42;\n",
-		},
-		{
-			name: "function macro",
-			src:  "#define SQ(x) ((x)*(x))\nint y = SQ(3);\n",
-			want: "int y = ((3)*(3));\n",
-		},
-		{
-			name: "function macro args expand",
-			src:  "#define N 8\n#define SQ(x) ((x)*(x))\nint y = SQ(N);\n",
-			want: "int y = ((8)*(8));\n",
-		},
-		{
-			name: "rescanning of expansion result",
-			src:  "#define PLUS(a,b) ADD(a,b)\n#define ADD(a,b) ((a)+(b))\nint z = PLUS(1,2);\n",
-			want: "int z = ((1)+(2));\n",
-		},
-		{
-			name: "function macro without parens is not invoked",
-			src:  "#define F(x) x\nint (*F)(int);\n",
-			want: "int (*F)(int);\n",
-		},
-		{
-			name: "invocation across newline",
-			src:  "#define SQ(x) ((x)*(x))\nint y = SQ\n(4);\n",
-			want: "int y = ((4)*(4));\n",
-		},
-		{
-			name: "stringize",
-			src:  "#define STR(x) #x\nconst char *s = STR(hello world);\n",
-			want: "const char *s = \"hello world\";\n",
-		},
-		{
-			name: "stringize preserves string escapes",
-			src:  "#define STR(x) #x\nconst char *s = STR(\"a\\n\");\n",
-			want: "const char *s = \"\\\"a\\\\n\\\"\";\n",
-		},
-		{
-			name: "paste",
-			src:  "#define GLUE(a,b) a##b\nint GLUE(foo,bar) = 1;\n",
-			want: "int foobar = 1;\n",
-		},
-		{
-			name: "paste then rescan",
-			src:  "#define XY 99\n#define GLUE(a,b) a##b\nint v = GLUE(X,Y);\n",
-			want: "int v = 99;\n",
-		},
-		{
-			name: "paste numbers",
-			src:  "#define CAT(a,b) a##b\nint n = CAT(1,2);\n",
-			want: "int n = 12;\n",
-		},
-		{
-			name: "stringize of macro arg is not pre-expanded",
-			src:  "#define N 10\n#define STR(x) #x\nconst char *s = STR(N);\n",
-			want: "const char *s = \"N\";\n",
-		},
-		{
-			name: "recursive self-reference blocked",
-			src:  "#define FOO FOO\nint FOO = 1;\n",
-			want: "int FOO = 1;\n",
-		},
-		{
-			name: "mutual recursion blocked",
-			src:  "#define A B\n#define B A\nint A;\n",
-			want: "int A;\n",
-		},
-		{
-			name: "function-like self-reference blocked",
-			src:  "#define F(x) F(x + 1)\nint y = F(0);\n",
-			want: "int y = F(0 + 1);\n",
-		},
-		{
-			name: "conditional taken",
-			src:  "#define ON 1\n#if ON\nint a;\n#else\nint b;\n#endif\n",
-			want: "int a;\n",
-		},
-		{
-			name: "conditional not taken",
-			src:  "#if 0\nint a;\n#else\nint b;\n#endif\n",
-			want: "int b;\n",
-		},
-		{
-			name: "elif chain",
-			src:  "#define V 2\n#if V == 1\nint a;\n#elif V == 2\nint b;\n#elif V == 3\nint c;\n#else\nint d;\n#endif\n",
-			want: "int b;\n",
-		},
-		{
-			name: "nested conditionals",
-			src: "#define A 1\n#define B 0\n#if A\n#if B\nint ab;\n#else\nint anb;\n#endif\n#else\n#if B\nint nab;\n#endif\nint nb;\n#endif\n",
-			want: "int anb;\n",
-		},
-		{
-			name: "inactive branch directives do not define",
-			src:  "#if 0\n#define X 5\n#endif\n#ifdef X\nint bad;\n#else\nint good;\n#endif\n",
-			want: "int good;\n",
-		},
-		{
-			name: "ifdef and undef",
-			src:  "#define X\n#ifdef X\nint a;\n#endif\n#undef X\n#ifdef X\nint b;\n#endif\n",
-			want: "int a;\n",
-		},
-		{
-			name: "ifndef",
-			src:  "#ifndef X\nint a;\n#endif\n",
-			want: "int a;\n",
-		},
-		{
-			name: "defined operator both spellings",
-			src:  "#define X\n#if defined X && defined(X)\nint a;\n#endif\n",
-			want: "int a;\n",
-		},
-		{
-			name: "if arithmetic",
-			src:  "#if (1 + 2*3 == 7) && (10 % 3 == 1) && (1 << 4) == 16 && -1 < 0\nint a;\n#endif\n",
-			want: "int a;\n",
-		},
-		{
-			name: "if ternary and unknown identifiers are zero",
-			src:  "#if UNKNOWN ? 0 : 1\nint a;\n#endif\n",
-			want: "int a;\n",
-		},
-		{
-			name: "if char constant",
-			src:  "#if 'A' == 65\nint a;\n#endif\n",
-			want: "int a;\n",
-		},
-		{
-			name: "line continuation in define",
-			src:  "#define LONG \\\n  42\nint x = LONG;\n",
-			want: "int x = 42;\n",
-		},
-		{
-			name: "line continuation in code",
-			src:  "int foo\\\nbar = 1;\n",
-			want: "int foobar = 1;\n",
-		},
-		{
-			name: "line continuation between tokens",
-			src:  "int a \\\n= 1;\n",
-			want: "int a = 1;\n",
-		},
-		{
-			name: "include searched in dir",
-			src:  "#include \"h.h\"\nint y = M;\n",
-			headers: map[string]string{
-				"h.h": "#define M 5\n",
-			},
-			want: "int y = 5;\n",
-		},
-		{
-			name: "include emits header text",
-			src:  "#include \"decl.h\"\nint main(void) { return f(); }\n",
-			headers: map[string]string{
-				"decl.h": "int f(void);\n",
-			},
-			want: "int f(void);\nint main(void) { return f(); }\n",
-		},
-		{
-			name: "include cycle broken by guard",
-			src:  "#include \"a.h\"\nint m;\n",
-			headers: map[string]string{
-				"a.h": "#ifndef A_H\n#define A_H\n#include \"b.h\"\nint a;\n#endif\n",
-				"b.h": "#ifndef B_H\n#define B_H\n#include \"a.h\"\nint b;\n#endif\n",
-			},
-			want: "int b;\nint a;\nint m;\n",
-		},
-		{
-			name: "include cycle broken by pragma once",
-			src:  "#include \"a.h\"\nint m;\n",
-			headers: map[string]string{
-				"a.h": "#pragma once\n#include \"b.h\"\nint a;\n",
-				"b.h": "#pragma once\n#include \"a.h\"\nint b;\n",
-			},
-			want: "int b;\nint a;\nint m;\n",
-		},
-		{
-			name: "double include with guard collapses",
-			src:  "#include \"g.h\"\n#include \"g.h\"\nint m;\n",
-			headers: map[string]string{
-				"g.h": "#ifndef G_H\n#define G_H\nint g;\n#endif\n",
-			},
-			want: "int g;\nint m;\n",
-		},
-		{
-			name: "unguarded include cycle hits depth limit",
-			src:  "#include \"loop.h\"\n",
-			headers: map[string]string{
-				"loop.h": "#include \"loop.h\"\nint l;\n",
-			},
-			errs: -1,
-		},
-		{
-			name: "missing include passes through",
-			src:  "#include <stdio.h>\nint main(void) { return 0; }\n",
-			want: "#include <stdio.h>\nint main(void) { return 0; }\n",
-		},
-		{
-			name: "variadic macro",
-			src:  "#define CALL(f, ...) f(__VA_ARGS__)\nint x = CALL(add, 1, 2);\n",
-			want: "int x = add(1, 2);\n",
-		},
-		{
-			name: "empty macro leaves no token merge",
-			src:  "#define E\nint a = 1 E + 2;\n",
-			want: "int a = 1  + 2;\n",
-		},
-		{
-			name: "error directive reports",
-			src:  "#if 1\n#error boom\n#endif\nint a;\n",
-			want: "int a;\n",
-			errs: 1,
-		},
-		{
-			name: "error in dead branch is silent",
-			src:  "#if 0\n#error boom\n#endif\nint a;\n",
-			want: "int a;\n",
-		},
-		{
-			name: "comments pass through",
-			src:  "/* keep */\nint a; // tail\n",
-			want: "/* keep */\nint a; // tail\n",
-		},
-		{
-			name: "macro inside comment not expanded",
-			src:  "#define N 10\n/* N stays */\nint a = N; // N too\n",
-			want: "/* N stays */\nint a = 10; // N too\n",
-		},
-		{
-			name: "macro inside string not expanded",
-			src:  "#define N 10\nconst char *s = \"N\";\n",
-			want: "const char *s = \"N\";\n",
-		},
-		{
-			name: "predefine via options",
-			src:  "int v = WIDTH;\n",
-			want: "int v = 640;\n",
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range tortureCases {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := Options{}
 			if tc.name == "predefine via options" {

@@ -70,6 +70,7 @@ type BenchCWE struct {
 	AnalyzeUs int64  `json:"analyze_us"`
 	SLRUs     int64  `json:"slr_us"`
 	STRUs     int64  `json:"str_us"`
+	InterpUs  int64  `json:"interp_us"`
 	Degraded  int    `json:"degraded,omitempty"`
 	Errors    int    `json:"errors,omitempty"`
 	Name      string `json:"name"`
@@ -116,6 +117,7 @@ func BuildBenchReport(rows []CWEResult, opts TableIIIOptions, wall time.Duration
 			AnalyzeUs: us(r.AnalyzeTime),
 			SLRUs:     us(r.SLRTime),
 			STRUs:     us(r.STRTime),
+			InterpUs:  us(r.InterpTime),
 			Degraded:  r.Degraded,
 			Errors:    r.Errors,
 		})

@@ -11,8 +11,8 @@ import (
 )
 
 // TestTableIIIStagesAndBenchReport: a stage-collecting Table III run
-// yields a per-stage breakdown per CWE whose grouped columns sum to the
-// merged self time, the formatted table prints the breakdown section,
+// yields a per-stage breakdown per CWE (verification runs included)
+// whose grouped columns sum to the merged self time, the formatted table prints the breakdown section,
 // and BuildBenchReport round-trips through JSON with the key stages
 // present.
 func TestTableIIIStagesAndBenchReport(t *testing.T) {
@@ -37,7 +37,7 @@ func TestTableIIIStagesAndBenchReport(t *testing.T) {
 			continue
 		}
 		sawStages = true
-		grouped := r.ParseTime + r.AnalyzeTime + r.SLRTime + r.STRTime
+		grouped := r.ParseTime + r.AnalyzeTime + r.SLRTime + r.STRTime + r.InterpTime
 		if grouped != obs.SelfTotal(r.Stages) {
 			t.Errorf("CWE-%d: grouped columns %v != merged self total %v",
 				r.CWE, grouped, obs.SelfTotal(r.Stages))
@@ -70,7 +70,7 @@ func TestTableIIIStagesAndBenchReport(t *testing.T) {
 	for _, st := range decoded.Stages {
 		names[st.Name] = true
 	}
-	for _, want := range []string{"parse", "typecheck", "slr", "str", "fix"} {
+	for _, want := range []string{"parse", "typecheck", "slr", "str", "fix", "interp"} {
 		if !names[want] {
 			t.Fatalf("report missing stage %q: %v", want, names)
 		}

@@ -65,18 +65,21 @@ type CWEResult struct {
 	ColdFix  time.Duration
 	WarmFix  time.Duration
 	WarmHits int
-	// Stages is the per-stage breakdown of this CWE class's
-	// transformation pipeline time (TableIIIOptions.Stages): every stage
-	// span of every program's core.Fix, aggregated. The four *Time
+	// Stages is the per-stage breakdown of this CWE class's time
+	// (TableIIIOptions.Stages): every stage span of every program's
+	// harness.Verify — core.Fix's pipeline plus the verification runs'
+	// parse, typecheck and interp spans — aggregated. The five *Time
 	// fields group its self times into the columns FormatTableIII
 	// prints: the front end (parse), the derived analyses plus pipeline
 	// orchestration (typecheck through overflow, and the fix span's own
-	// self time), and the two transformations (slr; str + rewrite).
+	// self time), the two transformations (slr; str + rewrite), and the
+	// checked interpreter's runs (interp).
 	Stages      []obs.StageStat
 	ParseTime   time.Duration
 	AnalyzeTime time.Duration
 	SLRTime     time.Duration
 	STRTime     time.Duration
+	InterpTime  time.Duration
 }
 
 // TableIIIOptions configures the SAMATE run.
@@ -90,8 +93,9 @@ type TableIIIOptions struct {
 	// maintenance scenario of re-hardening a mostly-unchanged tree (and
 	// cfixd's steady state).
 	CacheWarm bool
-	// Stages additionally traces every program's transformation pipeline
-	// and aggregates a per-stage time breakdown per CWE (one tracer per
+	// Stages additionally traces every program's verification (the
+	// transformation pipeline and the four runs around it) and
+	// aggregates a per-stage time breakdown per CWE (one tracer per
 	// program, merged — each program's span family is laminar, so self
 	// times stay exact even with parallel workers). No-op in a
 	// cfix_notrace build.
@@ -190,7 +194,7 @@ func RunTableIII(opts TableIIIOptions) ([]CWEResult, error) {
 		if opts.CacheWarm {
 			measureCacheWarm(&row, picked, warmCache, dialect, opts.Workers)
 		}
-		row.ParseTime, row.AnalyzeTime, row.SLRTime, row.STRTime = groupStages(row.Stages)
+		row.ParseTime, row.AnalyzeTime, row.SLRTime, row.STRTime, row.InterpTime = groupStages(row.Stages)
 		rows = append(rows, row)
 	}
 	return rows, nil
@@ -225,12 +229,12 @@ func measureCacheWarm(row *CWEResult, progs []samate.Program, c *cache.Cache, di
 	}
 }
 
-// groupStages folds per-stage self times into the four Table III
+// groupStages folds per-stage self times into the five Table III
 // breakdown columns: the C front end, everything the shared snapshot
-// derives from it (plus the fix span's own orchestration time), and
-// the two transformations (rewrite assembly counts as STR, whose
-// output it re-renders).
-func groupStages(stats []obs.StageStat) (parse, analyze, slr, strt time.Duration) {
+// derives from it (plus the fix span's own orchestration time), the
+// two transformations (rewrite assembly counts as STR, whose output it
+// re-renders), and the verification runs' interpreter time.
+func groupStages(stats []obs.StageStat) (parse, analyze, slr, strt, interp time.Duration) {
 	for _, st := range stats {
 		switch st.Name {
 		case obs.StageParse:
@@ -239,11 +243,13 @@ func groupStages(stats []obs.StageStat) (parse, analyze, slr, strt time.Duration
 			slr += st.Self
 		case obs.StageSTR, obs.StageRewrite:
 			strt += st.Self
+		case obs.StageInterp:
+			interp += st.Self
 		default:
 			analyze += st.Self
 		}
 	}
-	return parse, analyze, slr, strt
+	return parse, analyze, slr, strt, interp
 }
 
 // stdinFor supplies input for gets/fgets programs.
@@ -321,30 +327,35 @@ func FormatTableIII(rows []CWEResult) string {
 	}
 	if stages := totalStages(rows); len(stages) > 0 {
 		sb.WriteString("\nPer-stage pipeline time (self time, summed across each CWE's programs):\n")
-		sb.WriteString(fmt.Sprintf("%-42s %9s %9s %9s %9s %9s\n",
-			"CWE", "Parse", "Analyze", "SLR", "STR", "Total"))
-		var tp, ta, tslr, tstr time.Duration
+		sb.WriteString(fmt.Sprintf("%-42s %9s %9s %9s %9s %9s %9s\n",
+			"CWE", "Parse", "Analyze", "SLR", "STR", "Interp", "Total"))
+		var tot [5]time.Duration
 		for _, r := range rows {
-			sb.WriteString(fmt.Sprintf("%-42s %9s %9s %9s %9s %9s\n",
-				fmt.Sprintf("CWE %d: %s", r.CWE, r.Name),
-				r.ParseTime.Round(time.Millisecond), r.AnalyzeTime.Round(time.Millisecond),
-				r.SLRTime.Round(time.Millisecond), r.STRTime.Round(time.Millisecond),
-				(r.ParseTime + r.AnalyzeTime + r.SLRTime + r.STRTime).Round(time.Millisecond)))
-			tp += r.ParseTime
-			ta += r.AnalyzeTime
-			tslr += r.SLRTime
-			tstr += r.STRTime
+			cols := [5]time.Duration{r.ParseTime, r.AnalyzeTime, r.SLRTime, r.STRTime, r.InterpTime}
+			sb.WriteString(stageRow(fmt.Sprintf("CWE %d: %s", r.CWE, r.Name), cols))
+			for i, d := range cols {
+				tot[i] += d
+			}
 		}
-		sb.WriteString(fmt.Sprintf("%-42s %9s %9s %9s %9s %9s\n",
-			"Total", tp.Round(time.Millisecond), ta.Round(time.Millisecond),
-			tslr.Round(time.Millisecond), tstr.Round(time.Millisecond),
-			(tp + ta + tslr + tstr).Round(time.Millisecond)))
+		sb.WriteString(stageRow("Total", tot))
 		sb.WriteString("\nStage detail (all CWEs):\n")
 		sb.WriteString(obs.FormatStageStats(stages, 0))
 	}
 	sb.WriteString(fmt.Sprintf("\nPaper: 4,505 programs; SLR applicable to 1,758 (1,096/644/18);\n"))
 	sb.WriteString("vulnerability fixed in bad functions of all programs; normal behavior preserved.\n")
 	return sb.String()
+}
+
+// stageRow renders one row of the per-stage breakdown: the five
+// grouped columns and their sum.
+func stageRow(label string, cols [5]time.Duration) string {
+	var sum time.Duration
+	row := fmt.Sprintf("%-42s", label)
+	for _, d := range cols {
+		sum += d
+		row += fmt.Sprintf(" %9s", d.Round(time.Millisecond))
+	}
+	return row + fmt.Sprintf(" %9s\n", sum.Round(time.Millisecond))
 }
 
 // totalStages merges every row's per-stage aggregate; empty when the

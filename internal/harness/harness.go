@@ -8,7 +8,9 @@ package harness
 import (
 	"context"
 	"fmt"
+	"strings"
 
+	"repro/internal/cast"
 	"repro/internal/cinterp"
 	"repro/internal/core"
 	"repro/internal/cparse"
@@ -61,24 +63,33 @@ type Options struct {
 	// The checked interpreter models every registered dialect's safe
 	// functions, so verification runs the same protocol regardless.
 	Backend string
-	// Tracer, when non-nil, records the transformation pipeline's stage
-	// spans (the experiment harness feeds them into Table III's
-	// per-stage breakdown). The verification executions are not traced;
-	// only Transform's core.Fix is.
+	// Tracer, when non-nil, records stage spans (the experiment harness
+	// feeds them into Table III's per-stage breakdown): Transform's
+	// core.Fix spans, plus parse and typecheck for each text the
+	// verification runs load and interp for each run.
 	Tracer *obs.Tracer
 }
 
 // Verify runs the full protocol. goodEntry and badEntry name the two
 // functions to execute.
+//
+// Each distinct text is parsed and type-checked once: the original
+// source's unit serves both pre-transform runs and the transformed
+// text's unit both post-transform runs. The interpreter never writes to
+// the AST, so a unit is safely shared; every run gets a fresh
+// interpreter, because one keeps its globals across runs.
 func Verify(id, source, goodEntry, badEntry string, opts Options) (*Verdict, error) {
 	v := &Verdict{ID: id}
 
-	var err error
-	v.PreGood, err = runOne(id+" (pre,good)", source, goodEntry, opts)
+	pre, err := load(id+" (pre)", source, opts)
 	if err != nil {
 		return nil, err
 	}
-	v.PreBad, err = runOne(id+" (pre,bad)", source, badEntry, opts)
+	v.PreGood, err = run(pre, id+" (pre,good)", goodEntry, opts)
+	if err != nil {
+		return nil, err
+	}
+	v.PreBad, err = run(pre, id+" (pre,bad)", badEntry, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -90,15 +101,15 @@ func Verify(id, source, goodEntry, badEntry string, opts Options) (*Verdict, err
 	}
 	v.TransformedSource = transformed
 
-	runSource := transformed
-	if needsStralloc(transformed) {
-		runSource = stralloc.FullSource() + "\n" + transformed
+	post, err := load(id+" (post)", runSource(transformed), opts)
+	if err != nil {
+		return nil, fmt.Errorf("harness: post-transform: %w", err)
 	}
-	v.PostGood, err = runOne(id+" (post,good)", runSource, goodEntry, opts)
+	v.PostGood, err = run(post, id+" (post,good)", goodEntry, opts)
 	if err != nil {
 		return nil, fmt.Errorf("harness: post-transform good run: %w", err)
 	}
-	v.PostBad, err = runOne(id+" (post,bad)", runSource, badEntry, opts)
+	v.PostBad, err = run(post, id+" (post,bad)", badEntry, opts)
 	if err != nil {
 		return nil, fmt.Errorf("harness: post-transform bad run: %w", err)
 	}
@@ -138,27 +149,35 @@ func Transform(id, source string, opts Options, v *Verdict) (string, error) {
 	return rep.Source, nil
 }
 
-// needsStralloc detects STR output (the emitted type name).
-func needsStralloc(src string) bool {
-	return containsWord(src, "stralloc")
-}
-
-func containsWord(s, w string) bool {
-	for i := 0; i+len(w) <= len(s); i++ {
-		if s[i:i+len(w)] == w {
-			return true
-		}
+// runSource returns the text the post-transform runs execute: the
+// transformed program, prefixed with the stralloc library's C source
+// when STR introduced the type.
+func runSource(transformed string) string {
+	if strings.Contains(transformed, "stralloc") {
+		return stralloc.FullSource() + "\n" + transformed
 	}
-	return false
+	return transformed
 }
 
-// runOne parses, checks and executes one entry point.
-func runOne(label, source, entry string, opts Options) (*cinterp.Result, error) {
+// load parses and type-checks one text, under a span per step when
+// tracing. The unit's file name is label+".c".
+func load(label, source string, opts Options) (*cast.TranslationUnit, error) {
+	sp := opts.Tracer.Start(context.Background(), obs.StageParse, label)
 	unit, err := cparse.Parse(label+".c", source)
+	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("harness: parse %s: %w", label, err)
 	}
+	sp = opts.Tracer.Start(context.Background(), obs.StageTypecheck, label)
 	typecheck.Check(unit)
+	sp.End()
+	return unit, nil
+}
+
+// run executes one entry point of a loaded unit on a fresh interpreter.
+func run(unit *cast.TranslationUnit, label, entry string, opts Options) (*cinterp.Result, error) {
+	sp := opts.Tracer.Start(context.Background(), obs.StageInterp, label)
+	defer sp.End()
 	in, err := cinterp.New(unit, opts.Limits)
 	if err != nil {
 		return nil, fmt.Errorf("harness: init %s: %w", label, err)

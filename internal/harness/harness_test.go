@@ -1,8 +1,11 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 const twinProgram = `
@@ -114,5 +117,37 @@ func TestVerifyMissingEntry(t *testing.T) {
 	_, err := Verify("prog", twinProgram, "no_such_fn", "prog_bad", Options{})
 	if err == nil {
 		t.Fatal("missing entry must surface")
+	}
+}
+
+// TestVerifyTracesRuns: with a tracer, Verify records one parse and one
+// typecheck span per text it loads and one interp span per run, beside
+// core.Fix's own spans.
+func TestVerifyTracesRuns(t *testing.T) {
+	if !obs.Enabled() {
+		t.Skip("tracing compiled out (cfix_notrace)")
+	}
+	tr := obs.NewTracer()
+	if _, err := Verify("prog", twinProgram, "prog_good", "prog_bad", Options{Tracer: tr}); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]int{}
+	for _, s := range tr.Spans() {
+		if s.File != "prog.c" {
+			got[s.Name+" "+s.File]++
+		}
+	}
+	want := map[string]int{
+		"parse prog (pre)":        1,
+		"typecheck prog (pre)":    1,
+		"interp prog (pre,good)":  1,
+		"interp prog (pre,bad)":   1,
+		"parse prog (post)":       1,
+		"typecheck prog (post)":   1,
+		"interp prog (post,good)": 1,
+		"interp prog (post,bad)":  1,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("harness spans %v, want %v", got, want)
 	}
 }

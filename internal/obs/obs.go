@@ -49,6 +49,9 @@ const (
 	// re-analysis inside an incremental session.
 	StageHashes      = "hashes"
 	StageIncremental = "incremental"
+	// StageInterp is one checked-interpreter execution of an entry
+	// point (the verification harness's pre and post runs).
+	StageInterp = "interp"
 )
 
 // Attr is one key/value annotation on a span (file, function count,
