@@ -33,6 +33,11 @@ type Fault struct {
 	// firing — e.g. Skip: 1 spares the SLR parse and hits STR's
 	// re-parse, exercising the partial-result path.
 	Skip int
+	// Export fires the fault when a snapshot of the file exports its
+	// external calls (Snapshot.ExternalCalls, the project link scan)
+	// instead of at parse, so a failure after a finished fix can be
+	// exercised. Skip then counts exports; Budget does not apply.
+	Export bool
 }
 
 var (
@@ -68,8 +73,9 @@ func InjectFault(filename string, f Fault) (remove func()) {
 }
 
 // applyInjectedFault fires a registered fault for filename, if any.
-// Called by ParseCtx before parsing.
-func applyInjectedFault(ctx context.Context, filename string, conf *Config) {
+// ParseCtx calls it before parsing (export false, conf set);
+// ExternalCalls before exporting (export true, conf nil).
+func applyInjectedFault(ctx context.Context, filename string, conf *Config, export bool) {
 	if injectActive.Load() == 0 {
 		return
 	}
@@ -77,7 +83,7 @@ func applyInjectedFault(ctx context.Context, filename string, conf *Config) {
 	inj := injected[filename]
 	var f Fault
 	fire := false
-	if inj != nil {
+	if inj != nil && inj.fault.Export == export {
 		fire = inj.seen >= inj.fault.Skip
 		inj.seen++
 		f = inj.fault
@@ -99,7 +105,7 @@ func applyInjectedFault(ctx context.Context, filename string, conf *Config) {
 			fault.CheckCtx(ctx) // panics with the cancellation sentinel
 		}
 	}
-	if f.Budget > 0 {
+	if f.Budget > 0 && conf != nil {
 		conf.Limits.Steps = f.Budget
 		conf.Limits.Contexts = f.Budget
 	}

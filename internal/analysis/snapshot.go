@@ -153,7 +153,7 @@ func ParseCtx(ctx context.Context, filename, source string, conf Config) (*Snaps
 	// for the fault-path assertions.
 	sp := conf.Tracer.Start(ctx, obs.StageParse, filename)
 	defer sp.End()
-	applyInjectedFault(ctx, filename, &conf)
+	applyInjectedFault(ctx, filename, &conf, false)
 	fault.CheckCtx(ctx)
 	unit, err := cparse.Parse(filename, source)
 	if err != nil {
@@ -341,6 +341,7 @@ func (s *Snapshot) Findings() []overflow.Finding {
 // shares the snapshot's call graph and CFGs and runs at most once.
 func (s *Snapshot) ExternalCalls() []overflow.CallSeed {
 	s.externOnce.Do(func() {
+		applyInjectedFault(s.conf.Limits.Ctx, s.file, nil, true)
 		s.Typecheck()
 		opts := overflow.DefaultOptions()
 		if s.conf.Overflow != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/cache"
 	"repro/internal/obs"
 	"repro/internal/overflow"
@@ -123,9 +124,15 @@ func FixCached(ctx context.Context, filename, source string, opts Options) (*Rep
 // same contract as FixCached: hit reports an avoided computation, and
 // only full-fidelity lint reports are stored.
 func AnalyzeCached(ctx context.Context, filename, source string, opts Options) (*LintReport, bool, error) {
+	return analyzeCached(ctx, filename, source, nil, opts)
+}
+
+// analyzeCached is AnalyzeCached on an optional snapshot of source (see
+// analyzeReport); a cache hit leaves it unused.
+func analyzeCached(ctx context.Context, filename, source string, snap *analysis.Snapshot, opts Options) (*LintReport, bool, error) {
 	c := opts.Cache
 	if c == nil {
-		rep, err := analyzeReport(ctx, filename, source, opts)
+		rep, err := analyzeReport(ctx, filename, source, snap, opts)
 		return rep, false, err
 	}
 	var computed *LintReport
@@ -133,7 +140,7 @@ func AnalyzeCached(ctx context.Context, filename, source string, opts Options) (
 	payload, _, err := c.Do(cacheKey("lint", filename, source, opts), func() ([]byte, bool, error) {
 		sp := opts.Tracer.Start(ctx, obs.StageCacheMiss, filename)
 		defer sp.End()
-		rep, err := analyzeReport(ctx, filename, source, opts)
+		rep, err := analyzeReport(ctx, filename, source, snap, opts)
 		if err != nil {
 			return nil, false, err
 		}
@@ -152,7 +159,7 @@ func AnalyzeCached(ctx context.Context, filename, source string, opts Options) (
 	}
 	rep := new(LintReport)
 	if err := json.Unmarshal(payload, rep); err != nil {
-		rep, err := analyzeReport(ctx, filename, source, opts)
+		rep, err := analyzeReport(ctx, filename, source, snap, opts)
 		return rep, false, err
 	}
 	opts.Tracer.RecordSince(ctx, obs.StageCacheHit, filename, lookup)

@@ -20,6 +20,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/backend"
 	"repro/internal/cache"
+	"repro/internal/cast"
 	"repro/internal/ctoken"
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -313,13 +314,41 @@ func sortFindings(fs []overflow.Finding) {
 	})
 }
 
-// limits translates Options into solver limits for the analysis layer.
-func (o Options) limits(ctx context.Context) fault.Limits {
-	return fault.Limits{Ctx: ctx, Steps: o.Budget, Contexts: o.Budget}
+// snapConfig is the analysis configuration of every snapshot built for
+// one file: its solver limits (ctx and Options.Budget), the tracer, and
+// the transported extern seeds the overflow oracle explores (project
+// mode).
+func (o Options) snapConfig(ctx context.Context) analysis.Config {
+	conf := analysis.Config{
+		Limits: fault.Limits{Ctx: ctx, Steps: o.Budget, Contexts: o.Budget},
+		Tracer: o.Tracer,
+	}
+	if len(o.ExternSeeds) > 0 {
+		oo := overflow.DefaultOptions()
+		oo.ExternSeeds = o.ExternSeeds
+		conf.Overflow = &oo
+	}
+	return conf
 }
 
-// fileCtx applies the per-file timeout of opts to ctx.
-func fileCtx(ctx context.Context, opts Options) (context.Context, context.CancelFunc) {
+// ParseUnit parses one file's (preprocessed) text into the snapshot the
+// pipeline builds for it under opts — the input FixUnit takes.
+func ParseUnit(ctx context.Context, filename, text string, opts Options) (*analysis.Snapshot, error) {
+	return analysis.ParseCtx(ctx, filename, text, opts.snapConfig(ctx))
+}
+
+// UnitSnapshot is ParseUnit for a unit parsed earlier, now bound to
+// ctx: the project driver parses a TU, waits for the whole project to
+// parse, and only then analyzes it. No other snapshot may have analyzed
+// unit (typechecking annotates it).
+func UnitSnapshot(ctx context.Context, unit *cast.TranslationUnit, opts Options) *analysis.Snapshot {
+	return analysis.NewWithConfig(unit, opts.snapConfig(ctx))
+}
+
+// FileCtx applies the per-file timeout of opts (Options.Timeout) to
+// ctx. Every per-file pipeline entry point bounds its work with it; the
+// project driver bounds each TU's scan with it too.
+func FileCtx(ctx context.Context, opts Options) (context.Context, context.CancelFunc) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -362,15 +391,14 @@ func Analyze(ctx context.Context, filename, source string, opts Options) ([]over
 // findings so a budget-cut analysis never reads as a clean file. When
 // opts.Cache is set the whole report is served content-addressed.
 func AnalyzeReport(ctx context.Context, filename, source string, opts Options) (*LintReport, error) {
-	if opts.Cache != nil {
-		rep, _, err := AnalyzeCached(ctx, filename, source, opts)
-		return rep, err
-	}
-	return analyzeReport(ctx, filename, source, opts)
+	rep, _, err := analyzeCached(ctx, filename, source, nil, opts)
+	return rep, err
 }
 
-// analyzeReport is the uncached lint pipeline.
-func analyzeReport(ctx context.Context, filename, source string, opts Options) (rep *LintReport, err error) {
+// analyzeReport is the uncached lint pipeline. snap, when non-nil, is
+// ParseUnit's snapshot of source with no fact requested from it yet;
+// nil parses source here.
+func analyzeReport(ctx context.Context, filename, source string, snap *analysis.Snapshot, opts Options) (rep *LintReport, err error) {
 	defer fault.Recover(&err)
 	cs, err := parseChecks(opts.Checks)
 	if err != nil {
@@ -381,19 +409,14 @@ func analyzeReport(ctx context.Context, filename, source string, opts Options) (
 	if _, err := backend.Canonical(opts.Backend); err != nil {
 		return nil, err
 	}
-	ctx, cancel := fileCtx(ctx, opts)
+	ctx, cancel := FileCtx(ctx, opts)
 	defer cancel()
 	sp := opts.Tracer.Start(ctx, obs.StageLint, filename)
 	defer sp.End()
-	conf := analysis.Config{Limits: opts.limits(ctx), Tracer: opts.Tracer}
-	if len(opts.ExternSeeds) > 0 {
-		oo := overflow.DefaultOptions()
-		oo.ExternSeeds = opts.ExternSeeds
-		conf.Overflow = &oo
-	}
-	snap, err := analysis.ParseCtx(ctx, filename, source, conf)
-	if err != nil {
-		return nil, fmt.Errorf("core: parse for lint: %w", err)
+	if snap == nil {
+		if snap, err = ParseUnit(ctx, filename, source, opts); err != nil {
+			return nil, fmt.Errorf("core: parse for lint: %w", err)
+		}
 	}
 	fs := lintFindings(snap, cs)
 	sp.Attr("findings", fmt.Sprint(len(fs)))
@@ -454,7 +477,7 @@ func fix(ctx context.Context, filename, source string, opts Options) (rep *Repor
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := fileCtx(ctx, opts)
+	ctx, cancel := FileCtx(ctx, opts)
 	defer cancel()
 
 	// The file-level span closes by defer, so even a contained panic or
@@ -464,12 +487,7 @@ func fix(ctx context.Context, filename, source string, opts Options) (rep *Repor
 	defer fileSpan.End()
 
 	rep = &Report{Source: source, Backend: be.Name()}
-	conf := analysis.Config{Limits: opts.limits(ctx), Tracer: opts.Tracer}
-	if len(opts.ExternSeeds) > 0 {
-		oo := overflow.DefaultOptions()
-		oo.ExternSeeds = opts.ExternSeeds
-		conf.Overflow = &oo
-	}
+	conf := opts.snapConfig(ctx)
 
 	snap, err := analysis.ParseCtx(ctx, filename, source, conf)
 	if err != nil {

@@ -138,14 +138,22 @@ func AnalyzePreprocessed(ctx context.Context, filename, source string, cppOpts c
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: preprocess %s: %w", filename, err)
 	}
+	rep, err := AnalyzeUnit(ctx, filename, pp, nil, opts)
+	return rep, pp, err
+}
+
+// AnalyzeUnit is AnalyzePreprocessed on a unit the caller has already
+// preprocessed and, optionally, parsed, with pp and snap as for
+// FixUnit.
+func AnalyzeUnit(ctx context.Context, filename string, pp *cpp.Result, snap *analysis.Snapshot, opts Options) (*LintReport, error) {
 	opts.IncludeHash = IncludeHash(pp)
-	rep, err := AnalyzeReport(ctx, filename, pp.Text, opts)
+	rep, _, err := analyzeCached(ctx, filename, pp.Text, snap, opts)
 	if err != nil {
-		return nil, pp, err
+		return nil, err
 	}
 	remapFindings(rep.Findings, pp.Map)
 	rep.Degraded = dedupStrings(append(rep.Degraded, cppDegradations(pp)...))
-	return rep, pp, nil
+	return rep, nil
 }
 
 // FixPreprocessed is Fix in project mode: it preprocesses the unit,
@@ -170,43 +178,52 @@ func AnalyzePreprocessed(ctx context.Context, filename, source string, cppOpts c
 // Report positions (sites, variables, findings) are in original
 // coordinates. The returned cpp.Result is the FIRST round's preprocess
 // of the unmodified input.
-func FixPreprocessed(ctx context.Context, filename, source string, cppOpts cpp.Options, opts Options) (rep *Report, ppOut *cpp.Result, err error) {
+func FixPreprocessed(ctx context.Context, filename, source string, cppOpts cpp.Options, opts Options) (rep *Report, pp *cpp.Result, err error) {
+	defer fault.Recover(&err)
+	pp, err = cpp.Preprocess(filename, source, cppOpts)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: preprocess %s: %w", filename, err)
+	}
+	rep, err = FixUnit(ctx, filename, source, cppOpts, pp, nil, opts)
+	return rep, pp, err
+}
+
+// FixUnit is FixPreprocessed on a unit the caller has already
+// preprocessed (pp is cpp.Preprocess(filename, source, cppOpts)) and,
+// optionally, parsed: snap is ParseUnit's or UnitSnapshot's snapshot
+// of pp.Text with no fact requested from it yet, so the report's
+// degradations are the fix's own, or nil to parse here. The project
+// driver fixes each TU on the snapshot its scan built, so the unit is
+// preprocessed and analyzed once.
+func FixUnit(ctx context.Context, filename, source string, cppOpts cpp.Options, pp *cpp.Result, snap *analysis.Snapshot, opts Options) (rep *Report, err error) {
 	defer fault.Recover(&err)
 	if opts.SelectOffset >= 0 {
-		return nil, nil, fmt.Errorf("core: SelectOffset is not supported in project mode")
+		return nil, fmt.Errorf("core: SelectOffset is not supported in project mode")
 	}
 	cs, err := parseChecks(opts.Checks)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	be, err := backend.Get(opts.Backend)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	ctx, cancel := fileCtx(ctx, opts)
+	ctx, cancel := FileCtx(ctx, opts)
 	defer cancel()
 
 	fileSpan := opts.Tracer.Start(ctx, obs.StageFix, filename)
 	defer fileSpan.End()
 
-	pp, err := cpp.Preprocess(filename, source, cppOpts)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: preprocess %s: %w", filename, err)
-	}
-	ppOut = pp
 	opts.IncludeHash = IncludeHash(pp)
 
 	rep = &Report{Source: source, Backend: be.Name()}
-	conf := analysis.Config{Limits: opts.limits(ctx), Tracer: opts.Tracer}
-	if len(opts.ExternSeeds) > 0 {
-		oo := overflow.DefaultOptions()
-		oo.ExternSeeds = opts.ExternSeeds
-		conf.Overflow = &oo
-	}
+	conf := opts.snapConfig(ctx)
 
-	snap, err := analysis.ParseCtx(ctx, filename, pp.Text, conf)
-	if err != nil {
-		return nil, pp, fmt.Errorf("core: parse for SLR: %w", err)
+	if snap == nil {
+		snap, err = analysis.ParseCtx(ctx, filename, pp.Text, conf)
+		if err != nil {
+			return nil, fmt.Errorf("core: parse for SLR: %w", err)
+		}
 	}
 
 	if opts.Lint {
@@ -218,7 +235,7 @@ func FixPreprocessed(ctx context.Context, filename, source string, cppOpts cpp.O
 			return nil
 		}); lintErr != nil {
 			if !opts.KeepGoing {
-				return nil, pp, fmt.Errorf("core: lint: %w", lintErr)
+				return nil, fmt.Errorf("core: lint: %w", lintErr)
 			}
 			rep.Degraded = append(rep.Degraded, "lint skipped: "+firstLine(lintErr))
 		}
@@ -255,7 +272,7 @@ func FixPreprocessed(ctx context.Context, filename, source string, cppOpts cpp.O
 		})
 		if slrErr != nil {
 			if !opts.KeepGoing {
-				return nil, pp, fmt.Errorf("core: SLR: %w", slrErr)
+				return nil, fmt.Errorf("core: SLR: %w", slrErr)
 			}
 			rep.SLR = nil
 			current = source
@@ -308,7 +325,7 @@ func FixPreprocessed(ctx context.Context, filename, source string, cppOpts cpp.O
 		})
 		if strErr != nil {
 			if !opts.KeepGoing {
-				return nil, pp, fmt.Errorf("core: STR: %w", strErr)
+				return nil, fmt.Errorf("core: STR: %w", strErr)
 			}
 			rep.STR = nil
 			rep.Degraded = append(rep.Degraded, "STR skipped: "+firstLine(strErr))
@@ -338,7 +355,7 @@ func FixPreprocessed(ctx context.Context, filename, source string, cppOpts cpp.O
 		}
 	}
 	rw.Attr("changed", fmt.Sprint(rep.Changed())).End()
-	return rep, pp, nil
+	return rep, nil
 }
 
 // applyRemapped splices already-remapped edits into the original text.

@@ -10,18 +10,22 @@ import (
 	"repro/internal/core"
 )
 
-// loadFixture loads the checked-in libtiff-shaped fixture. The database
-// uses directory "." so paths resolve relative to the fixture root; we
-// chdir for the load (paths inside the returned project are absolute
-// only if the database makes them so — here they stay relative, which
-// is fine for in-test use).
+// loadFixture loads the checked-in libtiff-shaped fixture.
 func loadFixture(t *testing.T) *Project {
+	return loadDB(t, filepath.Join("testdata", "libtiff"))
+}
+
+// loadDB loads the compile_commands.json in dir. Such databases use
+// directory "." so paths resolve relative to dir; we chdir for the load
+// (paths inside the returned project stay relative, which is fine for
+// in-test use).
+func loadDB(t *testing.T, dir string) *Project {
 	t.Helper()
 	wd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Chdir(filepath.Join(wd, "testdata", "libtiff")); err != nil {
+	if err := os.Chdir(filepath.Join(wd, dir)); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { os.Chdir(wd) })

@@ -7,17 +7,24 @@
 //
 // The link is a two-round protocol (DESIGN.md Section 16):
 //
-//  1. Scan: each TU is preprocessed and analyzed stand-alone; calls to
+//  1. Scan: each TU is preprocessed and parsed once, its job (fix or
+//     analysis) runs on that parse without seeds, and then calls to
 //     functions the TU does not define are evaluated under the caller's
 //     interval state and exported as overflow.CallSeed values.
-//  2. Fix: seeds are routed to the TU that defines their callee (by
-//     symbol name — C has one flat namespace for external linkage) and
-//     the per-file pipeline reruns with Options.ExternSeeds, exploring
-//     the transported contexts exactly like local call edges.
+//  2. Reanalyze: seeds are routed to the TU that defines their callee
+//     (by symbol name — C has one flat namespace for external linkage).
+//     Seeds reach an outcome only through lint findings, so only lint
+//     and Analyze runs have this round: the whole project parses first,
+//     and the TUs another TU calls into defer their job to here, where
+//     it runs with Options.ExternSeeds, exploring the transported
+//     contexts exactly like local call edges.
 //
-// Everything stays deterministic: TUs process in database order, seeds
-// sort before fingerprinting, and a file's cache key absorbs both its
-// headers (IncludeHash) and its incoming seeds (SeedFingerprint).
+// Each round fans the TUs out over one worker per CPU (analysis.MapCtx)
+// and merges their results in TU order, so everything stays
+// deterministic: DefinedBy is first-wins in database order, edges and
+// outcomes follow it, seeds sort before fingerprinting, and a file's
+// cache key absorbs both its headers (IncludeHash) and its incoming
+// seeds (SeedFingerprint).
 package project
 
 import (
@@ -30,6 +37,7 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
+	"repro/internal/cast"
 	"repro/internal/core"
 	"repro/internal/cpp"
 	"repro/internal/fault"
@@ -280,63 +288,194 @@ type Report struct {
 	Edges []CrossEdge `json:"edges,omitempty"`
 }
 
-// scan is round 1: preprocess and analyze every TU stand-alone,
-// exporting external-call seeds, and link them by defined symbol.
-func (p *Project) scan(ctx context.Context, opts core.Options) (*Link, map[string]*cpp.Result, []string) {
-	link := &Link{
-		DefinedBy: make(map[string]string),
-		SeedsFor:  make(map[string][]overflow.CallSeed),
+// parsedTU is one TU preprocessed and parsed, the first half of its
+// scan.
+type parsedTU struct {
+	pp   *cpp.Result
+	unit *cast.TranslationUnit
+	// defs names the functions the unit defines, in unit order.
+	defs []string
+	err  error
+}
+
+// parseTU preprocesses and parses one TU, bounded by Options.Timeout.
+func parseTU(ctx context.Context, tu *TU, opts core.Options) (u parsedTU) {
+	ctx, cancel := core.FileCtx(ctx, opts)
+	defer cancel()
+	defer fault.Recover(&u.err)
+	if u.err = ctx.Err(); u.err != nil {
+		return u
 	}
-	pps := make(map[string]*cpp.Result, len(p.TUs))
-	errs := make([]string, 0)
-	type scanned struct {
-		tu    *TU
-		seeds []overflow.CallSeed
+	pp, err := cpp.Preprocess(tu.File, tu.Source, tu.CppOpts)
+	if err != nil {
+		u.err = fmt.Errorf("preprocess: %w", err)
+		return u
 	}
-	var all []scanned
-	for _, tu := range p.TUs {
-		pp, err := cpp.Preprocess(tu.File, tu.Source, tu.CppOpts)
-		if err != nil {
-			errs = append(errs, fmt.Sprintf("%s: preprocess: %v", tu.File, err))
-			continue
-		}
-		pps[tu.File] = pp
-		snap, err := analysis.ParseCtx(ctx, tu.File, pp.Text, analysis.Config{
-			Limits: fault.Limits{Ctx: ctx, Steps: opts.Budget, Contexts: opts.Budget},
-			Tracer: opts.Tracer,
-		})
-		if err != nil {
-			errs = append(errs, fmt.Sprintf("%s: parse: %v", tu.File, err))
-			continue
-		}
-		for _, fn := range snap.Unit().Funcs {
-			if _, dup := link.DefinedBy[fn.Name]; !dup {
-				link.DefinedBy[fn.Name] = tu.File
+	snap, err := core.ParseUnit(ctx, tu.File, pp.Text, opts)
+	if err != nil {
+		u.err = fmt.Errorf("parse: %w", err)
+		return u
+	}
+	u.pp, u.unit = pp, snap.Unit()
+	for _, fn := range u.unit.Funcs {
+		u.defs = append(u.defs, fn.Name)
+	}
+	return u
+}
+
+// scanned is one TU's round-1 result.
+type scanned struct {
+	// out is the TU's seedless outcome, final unless round 2 runs the
+	// TU's job; a TU that did not parse has only out.Err.
+	out FileOutcome
+	// defs is parsedTU.defs.
+	defs []string
+	// seeds are the TU's external calls, exported for the link.
+	seeds []overflow.CallSeed
+	// exportErr is a failed export: the TU sends no seeds, and its
+	// final report says so.
+	exportErr error
+	// deferred is the TU's preprocess when its job waits for round 2
+	// because the link may route seeds to it.
+	deferred *cpp.Result
+}
+
+// scanTU is the rest of round 1 for one parsed TU, bounded by
+// Options.Timeout: run the TU's job without seeds (the fix, or the
+// analysis when lintOnly) unless deferJob, and only then export the
+// external calls, so the report never sees degradations of the analyses
+// the export runs. A failed export leaves the outcome standing.
+func scanTU(ctx context.Context, tu *TU, opts core.Options, lintOnly bool, u parsedTU, deferJob bool) scanned {
+	sc := scanned{out: FileOutcome{File: tu.File}}
+	if u.err != nil {
+		sc.out.Err = u.err.Error()
+		return sc
+	}
+	sc.defs = u.defs
+	ctx, cancel := core.FileCtx(ctx, opts)
+	defer cancel()
+	snap := core.UnitSnapshot(ctx, u.unit, opts)
+	if deferJob {
+		sc.deferred = u.pp
+	} else {
+		sc.out = runJob(ctx, tu, u.pp, snap, opts, lintOnly)
+	}
+	sc.seeds, sc.exportErr = exportCalls(snap)
+	return sc
+}
+
+// runJob fixes or (lintOnly) analyzes one preprocessed TU; snap is its
+// fresh snapshot, or nil to parse pp.Text under opts.
+func runJob(ctx context.Context, tu *TU, pp *cpp.Result, snap *analysis.Snapshot, opts core.Options, lintOnly bool) FileOutcome {
+	out := FileOutcome{File: tu.File, Includes: pp.Includes}
+	var err error
+	if lintOnly {
+		out.Lint, err = core.AnalyzeUnit(ctx, tu.File, pp, snap, opts)
+	} else {
+		out.Fix, err = core.FixUnit(ctx, tu.File, tu.Source, tu.CppOpts, pp, snap, opts)
+	}
+	if err != nil {
+		return FileOutcome{File: tu.File, Err: err.Error()}
+	}
+	return out
+}
+
+// exportCalls is snap.ExternalCalls with a deadline or contained panic
+// returned as an error.
+func exportCalls(snap *analysis.Snapshot) (seeds []overflow.CallSeed, err error) {
+	defer fault.Recover(&err)
+	return snap.ExternalCalls(), nil
+}
+
+// definedBy maps every function defined in the project to the file of
+// the first TU, in project order, that defines it.
+func definedBy(tus []*TU, defs func(i int) []string) map[string]string {
+	by := make(map[string]string)
+	for i, tu := range tus {
+		for _, name := range defs(i) {
+			if _, dup := by[name]; !dup {
+				by[name] = tu.File
 			}
 		}
-		all = append(all, scanned{tu: tu, seeds: snap.ExternalCalls()})
 	}
-	for _, sc := range all {
+	return by
+}
+
+// maySeed marks the TUs the link can route seeds to: those whose file
+// defines, first in project order, a function that another TU calls by
+// name without defining it. Every seed's callee is such a function.
+func maySeed(tus []*TU, units []parsedTU) []bool {
+	by := definedBy(tus, func(i int) []string { return units[i].defs })
+	called := make(map[string]bool)
+	for _, u := range units {
+		if u.unit == nil {
+			continue
+		}
+		own := make(map[string]bool, len(u.defs))
+		for _, name := range u.defs {
+			own[name] = true
+		}
+		for _, fn := range u.unit.Funcs {
+			cast.Inspect(fn.Body, func(n cast.Node) bool {
+				if call, ok := n.(*cast.CallExpr); ok {
+					if name := call.Callee(); !own[name] {
+						if file, ok := by[name]; ok {
+							called[file] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	wait := make([]bool, len(tus))
+	for i, tu := range tus {
+		wait[i] = called[tu.File]
+	}
+	return wait
+}
+
+// link builds the project linkage from the scans, in TU order.
+func link(tus []*TU, scans []scanned) *Link {
+	l := &Link{SeedsFor: make(map[string][]overflow.CallSeed)}
+	l.DefinedBy = definedBy(tus, func(i int) []string { return scans[i].defs })
+	for i, sc := range scans {
+		caller := tus[i].File
 		for _, seed := range sc.seeds {
-			target, defined := link.DefinedBy[seed.Callee]
-			if !defined || target == sc.tu.File {
+			target, defined := l.DefinedBy[seed.Callee]
+			if !defined || target == caller {
 				// Library calls and (degenerate) self-routing stay local.
 				continue
 			}
-			link.Edges = append(link.Edges, CrossEdge{
-				CallerFile: sc.tu.File, Caller: seed.Caller,
+			l.Edges = append(l.Edges, CrossEdge{
+				CallerFile: caller, Caller: seed.Caller,
 				CalleeFile: target, Callee: seed.Callee,
 			})
-			link.SeedsFor[target] = append(link.SeedsFor[target], seed)
+			l.SeedsFor[target] = append(l.SeedsFor[target], seed)
 		}
 	}
-	return link, pps, errs
+	return l
+}
+
+// noteUnexported records in out's report that the TU's external calls
+// were not exported, so no seed from it reached another TU.
+func (out *FileOutcome) noteUnexported(err error) {
+	note := "link: external calls not exported: " + err.Error()
+	switch {
+	case out.Fix != nil:
+		out.Fix.Degraded = append(out.Fix.Degraded, note)
+	case out.Lint != nil:
+		out.Lint.Degraded = append(out.Lint.Degraded, note)
+	}
 }
 
 // Fix runs the two-round project pipeline and returns per-file fix
 // reports with edits applied to the original (pre-expansion) sources.
 // Per-file failures are recorded in the outcome, not fatal; err is
-// non-nil only for whole-project failures (context cancellation).
+// non-nil only for whole-project failures (context cancellation, which
+// still leaves one outcome per TU). Options.Timeout bounds each phase
+// of a TU's work: its parse, its round-1 job and export, and its
+// round-2 job.
 func (p *Project) Fix(ctx context.Context, opts core.Options) (*Report, error) {
 	return p.run(ctx, opts, false)
 }
@@ -351,50 +490,44 @@ func (p *Project) run(ctx context.Context, opts core.Options, lintOnly bool) (*R
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	link, _, scanErrs := p.scan(ctx, opts)
-	rep := &Report{Edges: link.Edges}
-	scanFailed := make(map[string]string)
-	for _, e := range scanErrs {
-		if file, msg, ok := strings.Cut(e, ": "); ok {
-			scanFailed[file] = msg
-		}
+	// Project mode is always batch: the case-by-case offset selector
+	// addresses one file's original coordinates and has no meaning
+	// across a database run.
+	opts.SelectOffset = -1
+	var scans []scanned
+	if lintOnly || opts.Lint {
+		// Seeds reach an outcome only through lint findings. Here the
+		// whole project parses first, so the jobs of the TUs the link
+		// may route seeds to wait for round 2 and run once.
+		units := analysis.MapCtx(ctx, 0, p.TUs, func(ctx context.Context, _ int, tu *TU) parsedTU {
+			return parseTU(ctx, tu, opts)
+		})
+		wait := maySeed(p.TUs, units)
+		scans = analysis.MapCtx(ctx, 0, p.TUs, func(ctx context.Context, i int, tu *TU) scanned {
+			u := units[i]
+			units[i] = parsedTU{}
+			return scanTU(ctx, tu, opts, lintOnly, u, wait[i])
+		})
+	} else {
+		// No job waits, so each TU's parse, job and export are one task
+		// and only one AST per worker is live.
+		scans = analysis.MapCtx(ctx, 0, p.TUs, func(ctx context.Context, _ int, tu *TU) scanned {
+			return scanTU(ctx, tu, opts, lintOnly, parseTU(ctx, tu, opts), false)
+		})
 	}
-	for _, tu := range p.TUs {
-		if err := ctx.Err(); err != nil {
-			return rep, err
+	l := link(p.TUs, scans)
+	files := analysis.MapCtx(ctx, 0, p.TUs, func(ctx context.Context, i int, tu *TU) FileOutcome {
+		sc := scans[i]
+		out := sc.out
+		if sc.deferred != nil {
+			fopts := opts
+			fopts.ExternSeeds = l.SeedsFor[tu.File]
+			out = runJob(ctx, tu, sc.deferred, nil, fopts, lintOnly)
 		}
-		out := FileOutcome{File: tu.File}
-		fopts := opts
-		fopts.ExternSeeds = link.SeedsFor[tu.File]
-		// Project mode is always batch: the case-by-case offset selector
-		// addresses one file's original coordinates and has no meaning
-		// across a database run.
-		fopts.SelectOffset = -1
-		if msg, failed := scanFailed[tu.File]; failed {
-			out.Err = msg
-			rep.Files = append(rep.Files, out)
-			continue
+		if sc.exportErr != nil {
+			out.noteUnexported(sc.exportErr)
 		}
-		if lintOnly {
-			lint, pp, err := core.AnalyzePreprocessed(ctx, tu.File, tu.Source, tu.CppOpts, fopts)
-			if err != nil {
-				out.Err = err.Error()
-			} else {
-				out.Lint = lint
-				out.Includes = pp.Includes
-			}
-		} else {
-			fix, pp, err := core.FixPreprocessed(ctx, tu.File, tu.Source, tu.CppOpts, fopts)
-			if err != nil {
-				out.Err = err.Error()
-			} else {
-				out.Fix = fix
-				if pp != nil {
-					out.Includes = pp.Includes
-				}
-			}
-		}
-		rep.Files = append(rep.Files, out)
-	}
-	return rep, nil
+		return out
+	})
+	return &Report{Files: files, Edges: l.Edges}, ctx.Err()
 }

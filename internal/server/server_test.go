@@ -135,7 +135,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // cache hit — verified both through /metrics counters and a parse-count
 // assertion (a hit performs zero parses).
 func TestFixEquivalenceAndCacheHit(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{Cache: newCache(t)})
+	const goroutines = 8
+	// Admit every request: this test is about singleflight and cache
+	// equivalence, and the default MaxInFlight (2*NumCPU) is below
+	// goroutines on small hosts.
+	_, ts, _ := newTestServer(t, Config{Cache: newCache(t), MaxInFlight: goroutines})
 
 	oneShot, err := cfix.Fix("equiv.c", overflowing, cfix.Options{SelectAll: true})
 	if err != nil {
@@ -146,7 +150,6 @@ func TestFixEquivalenceAndCacheHit(t *testing.T) {
 	}
 
 	req := cfix.FixRequest{Filename: "equiv.c", Source: overflowing}
-	const goroutines = 8
 	var wg sync.WaitGroup
 	responses := make([]cfix.FixResponse, goroutines)
 	errs := make([]error, goroutines)

@@ -59,8 +59,8 @@ func (r FailReason) String() string { return _failNames[r] }
 type VarResult struct {
 	Name string
 	// Func is the function the variable is declared in.
-	Func    string
-	Pos     ctoken.Position
+	Func string
+	Pos  ctoken.Position
 	// Extent is the source range of the variable's declaration (the
 	// anchor project mode remaps positions through).
 	Extent  ctoken.Extent
